@@ -147,13 +147,12 @@ bench-refresh: bench bench-parallel bench-chaos bench-mvread
 		printf '%s  host_cpus=%s\n' "$$(sha256sum $$f)" "$$cpus"; \
 	done
 
-# bench-cpu is the PERF6 scaling sweep: the sharded-monitor and
-# lock-free-intern families across GOMAXPROCS widths, plus the
-# pwsrbench sweep that rewrites BENCH_sharded.json.
+# bench-cpu is the PERF6 scaling sweep: the sharded-monitor family
+# across GOMAXPROCS widths, plus the pwsrbench sweep that rewrites
+# BENCH_sharded.json.
 .PHONY: bench-cpu
 bench-cpu:
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedMonitor' -benchmem -cpu 1,2,4,8
-	$(GO) test ./internal/intern -run '^$$' -bench 'BenchmarkSharedLookupParallel' -benchmem -cpu 1,2,4,8
 	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 
 # bench-all runs every benchmark in the repository once.
@@ -177,10 +176,12 @@ test:
 # (TestCompactDifferential, TestShardedCompactConcurrent), which are
 # not -short-gated; -short on the race passes skips only the 1M-op
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
-# The final leg re-runs the TestZeroAlloc* pins without the race
-# detector (whose instrumentation allocates, so the pins self-skip
-# under -race): an allocation regression on the steady-state
-# Observe/Admissible hot path fails CI here, not just benchmarks.
+# The final leg re-runs the TestZeroAlloc* pins and the fresh-key
+# routing growth pin (TestShardedRoutingFlat) without the race
+# detector (whose instrumentation allocates, so they self-skip under
+# -race): an allocation regression on the steady-state
+# Observe/Admissible hot path, or per-key routing cost that grows with
+# the distinct keys seen, fails CI here, not just benchmarks.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -190,7 +191,7 @@ check:
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc' -count=1 ./internal/core
+	$(GO) test -run 'TestZeroAlloc|TestShardedRoutingFlat' -count=1 ./internal/core
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -129,7 +129,8 @@
 // measurements at a parallelism they never ran at). `make check` runs
 // `go vet` plus the full suite under the race detector, then the
 // concurrency-sensitive packages again at GOMAXPROCS=1 and 8, then
-// the zero-allocation hot-path pins (TestZeroAlloc*) without the race
+// the zero-allocation hot-path pins (TestZeroAlloc*) and the fresh-key
+// routing growth pin (TestShardedRoutingFlat) without the race
 // detector; `make crash-matrix` runs the wal crash differential under
 // the race detector at both pinned widths, and `make check-parallel`
 // runs the parallel-engine differentials raced at both widths plus

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"pwsr/internal/txn"
-)
+import "pwsr/internal/txn"
 
 // AdmitSequence atomically admits one transaction's whole operation
 // sequence: each operation is probed with Admissible and, if the probe
@@ -136,42 +132,38 @@ func (m *ShardedMonitor) AdmitSequence(ops []txn.Op) (bool, *Violation) {
 		return ok, nil
 	}
 
-	m.routeMu.Lock()
-	committed := m.committed[id]
-	m.routeMu.Unlock()
-	if committed {
+	if m.committedTxn(id) {
 		panic(&LifecycleError{Verb: "AdmitSequence", Txn: id, Reason: "operation for a committed transaction"})
 	}
-	if c, seen := (*m.txnOps.Load())[id]; seen && c.ops.Load() > 0 {
+	if c, seen := m.txns.Load(id); seen && c.(*shardedTxn).ops.Load() > 0 {
 		panic(&LifecycleError{Verb: "AdmitSequence", Txn: id, Reason: "transaction already holds observed operations"})
 	}
 
-	// Resolve every operation's route before taking any shard lock
-	// (routing may take routeMu on first sight of an entity), and
-	// collect the ascending union of routed shards.
-	routes := make([]routeShards, len(ops))
-	var union []int32
-	for i, o := range ops {
-		routes[i] = m.routeFor(o.Entity)
-		union = append(union, routes[i]...)
+	// Resolve every operation's route before taking any shard lock,
+	// and collect the union of routed shards.
+	var buf [8]uint64
+	routes := buf[:0]
+	var union uint64
+	for _, o := range ops {
+		r := m.routeFor(o.Entity)
+		routes = append(routes, r)
+		union |= r
 	}
-	slices.Sort(union)
-	union = slices.Compact(union)
 
-	for _, s := range union {
-		m.shards[s].mu.Lock()
+	for rest := union; rest != 0; {
+		m.shards[nextShard(&rest)].mu.Lock()
 	}
 	// observed marks the shards holding at least one observed operation
 	// of this transaction (the rollback fan-out on denial).
-	observed := make([]bool, len(m.shards))
+	var observed uint64
 	applied := 0
 	denied := false
 	var vio *Violation
 	var vsh *monitorShard
 admit:
 	for i := range ops {
-		for _, s := range routes[i] {
-			sh := m.shards[s]
+		for rest := routes[i]; rest != 0; {
+			sh := m.shards[nextShard(&rest)]
 			sh.probes++
 			if !sh.mon.Admissible(ops[i]) {
 				sh.denials++
@@ -179,10 +171,11 @@ admit:
 				break admit
 			}
 		}
-		for _, s := range routes[i] {
+		for rest := routes[i]; rest != 0; {
+			s := nextShard(&rest)
 			sh := m.shards[s]
 			sh.observes++
-			observed[s] = true
+			observed |= 1 << s
 			if v := sh.mon.Observe(ops[i]); v != nil {
 				// Unreachable while Admissible is exact (the shard is
 				// locked between probe and observe).
@@ -194,25 +187,23 @@ admit:
 		applied++
 	}
 	if denied {
-		for _, s := range union {
-			if observed[s] {
-				m.shards[s].mon.Retract(id)
-			}
+		for rest := observed; rest != 0; {
+			m.shards[nextShard(&rest)].mon.Retract(id)
 		}
 	}
-	for i := len(union) - 1; i >= 0; i-- {
-		m.shards[union[i]].mu.Unlock()
+	for rest := union; rest != 0; {
+		m.shards[nextShard(&rest)].mu.Unlock()
 	}
 
 	if vio != nil {
 		// Count the observed prefix like Observe would (up to and
 		// including the violating operation).
+		// The shard mask only steers Retract, which a violated monitor
+		// refuses, so the whole union stands in for the prefix's.
 		c := m.txnCounter(id)
 		m.ops.Add(int64(applied))
 		c.ops.Add(int64(applied))
-		for i := 0; i < applied; i++ {
-			c.orShards(routes[i], len(m.shards))
-		}
+		c.orShards(union)
 		gv := m.globalViolation(vsh, vio)
 		if m.sink != nil {
 			for i := 0; i < applied; i++ {
@@ -238,9 +229,7 @@ admit:
 	c := m.txnCounter(id)
 	m.ops.Add(int64(len(ops)))
 	c.ops.Add(int64(len(ops)))
-	for i := range ops {
-		c.orShards(routes[i], len(m.shards))
-	}
+	c.orShards(union)
 	if m.sink != nil {
 		for _, o := range ops {
 			m.sink.LogObserve(o)

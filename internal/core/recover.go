@@ -80,8 +80,8 @@ func (m *ShardedMonitor) committedTxn(txnID int) bool {
 		d, ok := sh.mon.txnLookup(txnID)
 		return ok && sh.mon.committedB[d]
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
+	m.lifeMu.Lock()
+	defer m.lifeMu.Unlock()
 	return m.committed[txnID]
 }
 
@@ -154,11 +154,11 @@ func (m *ShardedMonitor) LiveTxnIDs() []int {
 		defer sh.mu.Unlock()
 		return sh.mon.LiveTxnIDs()
 	}
-	cur := *m.txnOps.Load()
-	out := make([]int, 0, len(cur))
-	for id := range cur {
-		out = append(out, id)
-	}
+	out := make([]int, 0, m.liveTxns.Load())
+	m.txns.Range(func(id, _ any) bool {
+		out = append(out, id.(int))
+		return true
+	})
 	slices.Sort(out)
 	return out
 }
@@ -172,15 +172,15 @@ func (m *ShardedMonitor) InFlightTxnIDs() []int {
 		defer sh.mu.Unlock()
 		return sh.mon.InFlightTxnIDs()
 	}
-	cur := *m.txnOps.Load()
-	m.routeMu.Lock()
-	out := make([]int, 0, len(cur))
-	for id := range cur {
-		if !m.committed[id] {
-			out = append(out, id)
+	m.lifeMu.Lock()
+	defer m.lifeMu.Unlock()
+	out := make([]int, 0, m.liveTxns.Load())
+	m.txns.Range(func(id, _ any) bool {
+		if !m.committed[id.(int)] {
+			out = append(out, id.(int))
 		}
-	}
-	m.routeMu.Unlock()
+		return true
+	})
 	slices.Sort(out)
 	return out
 }

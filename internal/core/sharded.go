@@ -1,12 +1,12 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"pwsr/internal/intern"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
@@ -26,15 +26,15 @@ import (
 //
 // Concurrency model. Observe, Admissible, ObserveAll, and Retract are
 // safe for concurrent use. An operation is routed through a shared
-// lock-free table (intern.Shared plus a copy-on-write route slice) to
-// the shards whose conjuncts mention its item; each routed shard is
-// then visited in ascending order under its lock. Operations touching
-// disjoint shards therefore certify fully in parallel, while
-// operations contending for a shard order through its lock — the
-// shard lock is the fence that serializes genuinely conflicting
-// admissions. Verdicts merge through a single sticky violation slot
-// (first CAS wins); once any shard trips, the monitor as a whole is
-// violated, mirroring Monitor's stickiness.
+// concurrent route table (entity → shard bitmask, filled lazily on
+// first sight) to the shards whose conjuncts mention its item; each
+// routed shard is then visited in ascending order under its lock.
+// Operations touching disjoint shards therefore certify fully in
+// parallel, while operations contending for a shard order through its
+// lock — the shard lock is the fence that serializes genuinely
+// conflicting admissions. Verdicts merge through a single sticky
+// violation slot (first CAS wins); once any shard trips, the monitor
+// as a whole is violated, mirroring Monitor's stickiness.
 //
 // Fed from a single goroutine, a ShardedMonitor is observationally
 // identical to Monitor over the same partition — same verdicts, same
@@ -50,32 +50,32 @@ type ShardedMonitor struct {
 	// matches Monitor exactly.
 	shardOf []int32
 
-	// router interns entities and routes[id] lists the shards whose
-	// conjuncts mention the entity. Both structures are copy-on-write
-	// with lock-free readers: this shared table is the only structure
-	// every shard touches on every operation, so it must not
-	// serialize them (the monitor-side consumer intern.Shared exists
-	// for).
-	router  *intern.Shared
-	routes  atomic.Pointer[[]routeShards]
-	routeMu sync.Mutex
+	// routes maps an entity to the bitmask of shards whose conjuncts
+	// mention it (zero for items outside every conjunct, which are
+	// ignored per Definition 2). It is the only structure every shard
+	// touches on every operation, so reads must not serialize them: a
+	// hit is one concurrent-map load, and a first sight computes the
+	// mask and stores it without copying the table.
+	routes sync.Map
 
 	violation atomic.Pointer[Violation]
 	ops       atomic.Int64
-	// txnOps counts observed operations per transaction so Retract
-	// keeps Ops() equal to the surviving operation count, mirroring
-	// Monitor's dense per-txn counters, and records the set of shards
-	// the transaction's operations routed to so Retract visits only
-	// those shards. Copy-on-write like the route table: the per-op hit
-	// path is one atomic load plus a map lookup, only a first-seen
-	// transaction takes routeMu.
-	txnOps atomic.Pointer[map[int]*shardedTxn]
+	// txns maps a transaction id to its *shardedTxn: the surviving
+	// operation count (so Retract keeps Ops() exact, mirroring
+	// Monitor's dense per-txn counters) and the mask of shards its
+	// operations routed to (so Retract visits only those shards).
+	// liveTxns counts the entries, which sync.Map cannot. Insert,
+	// Retract's delete, and Compact's prune are each O(1) per
+	// transaction.
+	txns     sync.Map
+	liveTxns atomic.Int64
 	// Lifecycle state for the multi-shard mode (the single-shard fast
 	// path delegates wholly to the inner monitor's lifecycle).
-	// committed, commitsSince, and autoEvery are guarded by routeMu;
+	// committed, commitsSince, and autoEvery are guarded by lifeMu;
 	// compactMu serializes Compact passes; watermark is the highest
 	// committed transaction id (CAS-maxed, monotone); compactions and
 	// reclaimedTxns are the sharded-level lifecycle counters.
+	lifeMu        sync.Mutex
 	committed     map[int]bool
 	commitsSince  int
 	autoEvery     int
@@ -100,32 +100,30 @@ type ShardedMonitor struct {
 	single bool
 }
 
-// routeShards is the ascending shard list an interned entity routes to
-// (empty for items outside every conjunct, which are ignored per
-// Definition 2).
-type routeShards []int32
+// maxShards is the shard-count ceiling: a route or a transaction's
+// footprint is a uint64 bitmask with one bit per shard.
+const maxShards = 64
+
+// nextShard pops the lowest shard of a bitmask, so draining a mask
+// visits its shards in ascending (lock) order.
+func nextShard(mask *uint64) int {
+	s := bits.TrailingZeros64(*mask)
+	*mask &= *mask - 1
+	return s
+}
 
 // shardedTxn is one transaction's global bookkeeping: its surviving
-// operation count and the bitmask of shards its operations routed to
-// (meaningful only while the shard count fits in 64 bits; wider
-// configurations fall back to full fan-out on Retract).
+// operation count and the bitmask of shards its operations routed to.
 type shardedTxn struct {
 	ops    atomic.Int64
 	shards atomic.Uint64
 }
 
-// orShards folds the route's shard bits into the transaction's mask.
-func (c *shardedTxn) orShards(r routeShards, shardCount int) {
-	if shardCount > 64 || len(r) == 0 {
-		return
-	}
-	var mask uint64
-	for _, s := range r {
-		mask |= 1 << uint(s)
-	}
+// orShards folds a route's shard bits into the transaction's mask.
+func (c *shardedTxn) orShards(mask uint64) {
 	for {
 		old := c.shards.Load()
-		if old&mask == mask || c.shards.CompareAndSwap(old, old|mask) {
+		if old|mask == old || c.shards.CompareAndSwap(old, old|mask) {
 			return
 		}
 	}
@@ -170,29 +168,20 @@ var shardedEpochSize = 8192
 // NewShardedMonitor builds a sharded monitor over the conjunct
 // partition. shards ≤ 0 selects GOMAXPROCS; the count is clamped to
 // the number of conjuncts (a shard without conjuncts would never
-// receive work) and to a minimum of one.
+// receive work), to at most 64 (routes are one-bit-per-shard masks),
+// and to a minimum of one.
 func NewShardedMonitor(partition []state.ItemSet, shards int) *ShardedMonitor {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > len(partition) {
-		shards = len(partition)
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(1, min(shards, len(partition), maxShards))
 	m := &ShardedMonitor{
 		partition: partition,
-		router:    intern.NewShared(),
 		shardOf:   make([]int32, len(partition)),
 		single:    shards == 1,
 		committed: make(map[int]bool),
 		autoEvery: DefaultAutoCompactEvery,
 	}
-	empty := make([]routeShards, 0)
-	m.routes.Store(&empty)
-	counters := make(map[int]*shardedTxn)
-	m.txnOps.Store(&counters)
 	l := len(partition)
 	for s := 0; s < shards; s++ {
 		lo, hi := s*l/shards, (s+1)*l/shards
@@ -248,72 +237,44 @@ func (m *ShardedMonitor) countOp(o txn.Op) *shardedTxn {
 }
 
 // txnCounter returns the transaction's bookkeeping record, creating it
-// (under routeMu, publishing a fresh snapshot) on first use.
+// on first use.
 func (m *ShardedMonitor) txnCounter(txnID int) *shardedTxn {
-	if c, ok := (*m.txnOps.Load())[txnID]; ok {
-		return c
+	if c, ok := m.txns.Load(txnID); ok {
+		return c.(*shardedTxn)
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	cur := *m.txnOps.Load()
-	if c, ok := cur[txnID]; ok {
-		return c
+	c, loaded := m.txns.LoadOrStore(txnID, new(shardedTxn))
+	if !loaded {
+		m.liveTxns.Add(1)
 	}
-	next := make(map[int]*shardedTxn, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	c := new(shardedTxn)
-	next[txnID] = c
-	m.txnOps.Store(&next)
-	return c
+	return c.(*shardedTxn)
 }
 
-// routeFor returns the entity's shard route, interning the entity and
-// computing its conjunct membership on first sight.
-func (m *ShardedMonitor) routeFor(entity string) routeShards {
-	if id, ok := m.router.Lookup(entity); ok {
-		if rs := *m.routes.Load(); int(id) < len(rs) {
-			return rs[id]
-		}
+// dropTxn removes the transaction's bookkeeping record, returning it
+// (nil when there was none).
+func (m *ShardedMonitor) dropTxn(txnID int) *shardedTxn {
+	c, ok := m.txns.LoadAndDelete(txnID)
+	if !ok {
+		return nil
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	id := m.router.ID(entity)
-	rs := *m.routes.Load()
-	if int(id) < len(rs) {
-		return rs[id]
+	m.liveTxns.Add(-1)
+	return c.(*shardedTxn)
+}
+
+// routeFor returns the entity's shard mask, computing its conjunct
+// membership on first sight. Racing first sights compute the same
+// mask, so either store wins.
+func (m *ShardedMonitor) routeFor(entity string) uint64 {
+	if r, ok := m.routes.Load(entity); ok {
+		return r.(uint64)
 	}
-	var r routeShards
+	var r uint64
 	for e, d := range m.partition {
 		if d.Contains(entity) {
-			if s := m.shardOf[e]; len(r) == 0 || r[len(r)-1] != s {
-				r = append(r, s)
-			}
+			r |= 1 << m.shardOf[e]
 		}
 	}
-	next := make([]routeShards, len(rs)+1)
-	copy(next, rs)
-	next[id] = r
-	m.routes.Store(&next)
+	m.routes.Store(entity, r)
 	return r
-}
-
-// lookupRoute returns the entity's route without interning it. A
-// router hit whose route is still being published (the router and the
-// route slice are updated in one critical section, but readers load
-// them separately) waits on the route mutex.
-func (m *ShardedMonitor) lookupRoute(entity string) (routeShards, bool) {
-	id, ok := m.router.Lookup(entity)
-	if !ok {
-		return nil, false
-	}
-	if rs := *m.routes.Load(); int(id) < len(rs) {
-		return rs[id], true
-	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	return (*m.routes.Load())[id], true
 }
 
 // globalViolation remaps a shard-local violation to global conjunct
@@ -350,9 +311,9 @@ func (m *ShardedMonitor) Observe(o txn.Op) *Violation {
 		return v
 	}
 	r := m.routeFor(o.Entity)
-	c.orShards(r, len(m.shards))
-	for _, s := range r {
-		sh := m.shards[s]
+	c.orShards(r)
+	for rest := r; rest != 0; {
+		sh := m.shards[nextShard(&rest)]
 		sh.mu.Lock()
 		sh.observes++
 		v := sh.mon.Observe(o)
@@ -390,12 +351,12 @@ func (m *ShardedMonitor) Admissible(o txn.Op) bool {
 		sh.mu.Unlock()
 		return ok
 	}
-	r, ok := m.lookupRoute(o.Entity)
+	r, ok := m.routes.Load(o.Entity)
 	if !ok {
 		return true // never-seen item: no shard has state on it
 	}
-	for _, s := range r {
-		sh := m.shards[s]
+	for rest := r.(uint64); rest != 0; {
+		sh := m.shards[nextShard(&rest)]
 		sh.mu.Lock()
 		sh.probes++
 		ok := sh.mon.Admissible(o)
@@ -430,49 +391,23 @@ func (m *ShardedMonitor) Retract(txnID int) {
 		sh.mu.Unlock()
 		return // the inner monitor's counters are authoritative
 	}
-	m.routeMu.Lock()
-	committed := m.committed[txnID]
-	m.routeMu.Unlock()
-	if committed {
+	if m.committedTxn(txnID) {
 		panic(&LifecycleError{Verb: "Retract", Txn: txnID, Reason: "retraction of a committed transaction"})
 	}
-	cur := *m.txnOps.Load()
-	c, ok := cur[txnID]
-	if !ok {
+	c := m.dropTxn(txnID)
+	if c == nil {
 		return // never observed: nothing to roll back anywhere
 	}
-	defer func() {
-		if m.sink != nil {
-			m.sink.LogRetract(txnID)
-		}
-	}()
-	mask := c.shards.Load()
-	if len(m.shards) > 64 {
-		mask = ^uint64(0)
-	}
-	for s, sh := range m.shards {
-		if len(m.shards) <= 64 && mask&(1<<uint(s)) == 0 {
-			continue
-		}
+	for rest := c.shards.Load(); rest != 0; {
+		sh := m.shards[nextShard(&rest)]
 		sh.mu.Lock()
 		sh.mon.Retract(txnID)
 		sh.mu.Unlock()
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	cur = *m.txnOps.Load()
-	c, ok = cur[txnID]
-	if !ok {
-		return
-	}
 	m.ops.Add(-c.ops.Load())
-	next := make(map[int]*shardedTxn, len(cur)-1)
-	for k, v := range cur {
-		if k != txnID {
-			next[k] = v
-		}
+	if m.sink != nil {
+		m.sink.LogRetract(txnID)
 	}
-	m.txnOps.Store(&next)
 }
 
 // Commit marks the transaction finished with Monitor.Commit's
@@ -511,7 +446,7 @@ func (m *ShardedMonitor) Commit(txnID int) {
 		sh.mon.Commit(txnID)
 		sh.mu.Unlock()
 	}
-	m.routeMu.Lock()
+	m.lifeMu.Lock()
 	first := !m.committed[txnID]
 	if first {
 		m.committed[txnID] = true
@@ -521,7 +456,7 @@ func (m *ShardedMonitor) Commit(txnID int) {
 	if trigger {
 		m.commitsSince = 0
 	}
-	m.routeMu.Unlock()
+	m.lifeMu.Unlock()
 	// Only the effective (first) commit is reported, mirroring
 	// Monitor.Commit's no-op on a double commit — and before any
 	// compaction the commit triggers, preserving stream order.
@@ -560,7 +495,7 @@ func (m *ShardedMonitor) Compact() int {
 		sh.mon.Compact()
 		sh.mu.Unlock()
 	}
-	m.routeMu.Lock()
+	m.lifeMu.Lock()
 	// A manual pass defers the next automatic one by a full interval,
 	// mirroring Monitor.Compact's cadence.
 	m.commitsSince = 0
@@ -568,7 +503,7 @@ func (m *ShardedMonitor) Compact() int {
 	for id := range m.committed {
 		ids = append(ids, id)
 	}
-	m.routeMu.Unlock()
+	m.lifeMu.Unlock()
 	// One locked pass per shard tests every candidate id — not one
 	// lock round per (id, shard) pair — so the residency scan costs at
 	// most len(shards) acquisitions against the admission traffic.
@@ -592,18 +527,12 @@ func (m *ShardedMonitor) Compact() int {
 	// keeps the emitted lifecycle stream byte-stable across runs.
 	slices.Sort(gone)
 	if len(gone) > 0 {
-		m.routeMu.Lock()
-		cur := *m.txnOps.Load()
-		next := make(map[int]*shardedTxn, len(cur))
-		for k, v := range cur {
-			next[k] = v
-		}
+		m.lifeMu.Lock()
 		for _, id := range gone {
-			delete(next, id)
+			m.dropTxn(id)
 			delete(m.committed, id)
 		}
-		m.txnOps.Store(&next)
-		m.routeMu.Unlock()
+		m.lifeMu.Unlock()
 		m.reclaimedTxns.Add(int64(len(gone)))
 		// gone is sorted, so its last element is the pass's highest
 		// reclaimed id; Compact passes are serialized by compactMu, so
@@ -627,7 +556,7 @@ func (m *ShardedMonitor) LiveTxns() int {
 		defer sh.mu.Unlock()
 		return sh.mon.LiveTxns()
 	}
-	return len(*m.txnOps.Load())
+	return int(m.liveTxns.Load())
 }
 
 // CompactStats snapshots the lifecycle counters: the sharded-level
@@ -643,7 +572,7 @@ func (m *ShardedMonitor) CompactStats() CompactStats {
 	st := CompactStats{
 		Compactions:   int(m.compactions.Load()),
 		ReclaimedTxns: int(m.reclaimedTxns.Load()),
-		LiveTxns:      len(*m.txnOps.Load()),
+		LiveTxns:      int(m.liveTxns.Load()),
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -663,8 +592,8 @@ func (m *ShardedMonitor) SetAutoCompact(n int) int {
 		defer sh.mu.Unlock()
 		return sh.mon.SetAutoCompact(n)
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
+	m.lifeMu.Lock()
+	defer m.lifeMu.Unlock()
 	old := m.autoEvery
 	m.autoEvery = n
 	return old
@@ -779,8 +708,9 @@ func (m *ShardedMonitor) observeEpoch(ops txn.Seq) *Violation {
 	for i, o := range ops {
 		c := m.countOp(o)
 		r := m.routeFor(o.Entity)
-		c.orShards(r, len(m.shards))
-		for _, s := range r {
+		c.orShards(r)
+		for rest := r; rest != 0; {
+			s := nextShard(&rest)
 			buckets[s] = append(buckets[s], shardedOp{op: o, idx: i})
 		}
 	}

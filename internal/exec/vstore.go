@@ -63,6 +63,10 @@ type VersionedStore struct {
 	pins map[uint64]int
 	// pruned counts versions garbage-collected so far.
 	pruned uint64
+	// versions counts the retained versions across all chains, kept
+	// current by commit and pruneChainLocked so VersionStats never walks
+	// the item map.
+	versions int
 }
 
 // versionedItem is one committed version of an item: the value and the
@@ -80,7 +84,7 @@ func NewVersionedStore(ds state.DB) *VersionedStore {
 	for k, v := range ds {
 		items[k] = []versionedItem{{val: v}}
 	}
-	return &VersionedStore{items: items, autoFloor: true, pins: make(map[uint64]int)}
+	return &VersionedStore{items: items, autoFloor: true, pins: make(map[uint64]int), versions: len(items)}
 }
 
 // Get returns the item's newest value and version stamp. The element
@@ -196,6 +200,7 @@ func (s *VersionedStore) commit(writes map[string]state.Value) {
 		s.floor = s.stamp
 	}
 	keep := s.keepFromLocked()
+	s.versions += len(writes)
 	for item, v := range writes {
 		chain := append(s.items[item], versionedItem{val: v, ver: s.stamp})
 		s.items[item] = s.pruneChainLocked(chain, keep)
@@ -226,6 +231,7 @@ func (s *VersionedStore) pruneChainLocked(chain []versionedItem, keep uint64) []
 		return chain
 	}
 	s.pruned += uint64(drop)
+	s.versions -= drop
 	return append(chain[:0], chain[drop:]...)
 }
 
@@ -293,14 +299,13 @@ type VersionStats struct {
 	Pins int
 }
 
-// VersionStats reports the store's retention accounting.
+// VersionStats reports the store's retention accounting. It costs
+// O(distinct pinned stamps), not O(items): the version count is kept
+// current as versions are installed and pruned.
 func (s *VersionedStore) VersionStats() VersionStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := VersionStats{Stamp: s.stamp, Floor: s.floor, Pruned: s.pruned}
-	for _, chain := range s.items {
-		st.Versions += len(chain)
-	}
+	st := VersionStats{Stamp: s.stamp, Floor: s.floor, Versions: s.versions, Pruned: s.pruned}
 	for _, n := range s.pins {
 		st.Pins += n
 	}

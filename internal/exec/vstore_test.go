@@ -8,6 +8,7 @@ package exec
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -193,5 +194,46 @@ func TestVersionedStoreAcquireNeverDenied(t *testing.T) {
 	}
 	if st := s.VersionStats(); st.Pins != 25 {
 		t.Fatalf("Pins = %d, want 25 leaked on purpose", st.Pins)
+	}
+}
+
+// TestVersionedStoreVersionCountExact checks the running version count
+// VersionStats reports against a full recount of every chain, after a
+// random mix of commits (including first writes of new items), pins,
+// releases, and floor advances — the count must track every install
+// and every prune, in both auto- and manual-floor modes.
+func TestVersionedStoreVersionCountExact(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewVersionedStore(state.Ints(map[string]int64{"a": 0, "b": 0, "c": 0}))
+		items := []string{"a", "b", "c", "d", "e"}
+		var pinned []*StoreSnapshot
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				writes := make(map[string]state.Value)
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					writes[items[rng.Intn(len(items))]] = state.Int(int64(step))
+				}
+				s.commit(writes)
+			case r < 7:
+				pinned = append(pinned, s.Acquire())
+			case r < 9 && len(pinned) > 0:
+				k := rng.Intn(len(pinned))
+				pinned[k].Release()
+				pinned = append(pinned[:k], pinned[k+1:]...)
+			default:
+				s.SetRetainFloor(s.Stamp() - uint64(rng.Intn(3)))
+			}
+			s.mu.RLock()
+			want := 0
+			for _, chain := range s.items {
+				want += len(chain)
+			}
+			s.mu.RUnlock()
+			if got := s.VersionStats().Versions; got != want {
+				t.Fatalf("seed %d step %d: VersionStats().Versions = %d, recount %d", seed, step, got, want)
+			}
+		}
 	}
 }

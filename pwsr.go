@@ -219,8 +219,8 @@ func NewMonitor(partition []ItemSet) *Monitor { return core.NewMonitor(partition
 type ShardedMonitor = core.ShardedMonitor
 
 // NewShardedMonitor builds a sharded monitor over a conjunct
-// partition; shards ≤ 0 selects GOMAXPROCS (clamped to the conjunct
-// count).
+// partition; shards ≤ 0 selects GOMAXPROCS. The count is clamped to
+// the conjunct count and to at most 64 shards.
 func NewShardedMonitor(partition []ItemSet, shards int) *ShardedMonitor {
 	return core.NewShardedMonitor(partition, shards)
 }
