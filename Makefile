@@ -176,12 +176,14 @@ test:
 # (TestCompactDifferential, TestShardedCompactConcurrent), which are
 # not -short-gated; -short on the race passes skips only the 1M-op
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
-# The final leg re-runs the TestZeroAlloc* pins and the fresh-key
-# routing growth pin (TestShardedRoutingFlat) without the race
+# The final legs re-run the TestZeroAlloc* pins, the fresh-key
+# routing growth pin (TestShardedRoutingFlat) and the batch
+# store-size pin (TestExecuteBatchFlatInStoreSize) without the race
 # detector (whose instrumentation allocates, so they self-skip under
 # -race): an allocation regression on the steady-state
-# Observe/Admissible hot path, or per-key routing cost that grows with
-# the distinct keys seen, fails CI here, not just benchmarks.
+# Observe/Admissible hot path, per-key routing cost that grows with
+# the distinct keys seen, or a batch whose cost grows with the store
+# it runs against, fails CI here, not just benchmarks.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -192,6 +194,15 @@ check:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	$(GO) test -run 'TestZeroAlloc|TestShardedRoutingFlat' -count=1 ./internal/core
+	$(GO) test -run 'TestExecuteBatchFlatInStoreSize' -count=1 ./internal/exec
+
+# perfbench-test runs the end-to-end benchmark's own tests (wrapper
+# method sets, traced == untraced runs, metric names against
+# BENCHMARK.json) under the race detector. perfbench is a module of
+# its own, so the root `go test ./...` does not reach it.
+.PHONY: perfbench-test
+perfbench-test:
+	$(GO) -C perfbench test -race -count=1 ./...
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -98,6 +98,14 @@
 // (sched's AdmitTxn over the sharded monitor's AdmitSequence), making
 // the committed schedule PWSR by construction; EXPERIMENTS.md PERF10
 // records the per-core scaling study and its CI regression gate.
+// A reusable engine keeps its state in the versioned store and never
+// copies it per batch: ExecuteBatch/ExecuteBatchCtx return the batch's
+// schedule and metrics with a nil Result.Final, so a batch costs
+// O(batch), not O(store), and the state is read on demand through
+// ParallelEngine.Store() (Get, Snapshot, Acquire). The one-shot
+// RunParallel/RunParallelCtx (and this package's RunParallel) fill
+// Final once after their single batch, a cancelled run's partial
+// Result included (EXPERIMENTS.md PERF14).
 //
 // The admission hot path is allocation-free in steady state: the
 // monitor interns transactions once into dense tables, keeps edge

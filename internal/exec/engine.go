@@ -471,7 +471,10 @@ type Config struct {
 type Result struct {
 	// Schedule is the recorded schedule.
 	Schedule *txn.Schedule
-	// Final is the database state after the run.
+	// Final is the database state after the run. A reusable
+	// ParallelEngine's ExecuteBatch leaves it nil — that engine's state
+	// is read through ParallelEngine.Store() instead; Run, RunMany, and
+	// RunParallel fill it.
 	Final state.DB
 	// Metrics are the virtual-clock measurements.
 	Metrics Metrics

@@ -452,11 +452,10 @@ func TestMVReadRetentionFollowsCompactWatermark(t *testing.T) {
 		Gate:    gate,
 		Workers: 4,
 	})
-	res, err := eng.ExecuteBatch(programs)
-	if err != nil {
+	if _, err := eng.ExecuteBatch(programs); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := res.Final.Get("x"); v.AsInt() != n {
+	if v, _, _ := eng.Store().Get("x"); v.AsInt() != n {
 		t.Fatalf("x = %v, want %d", v, n)
 	}
 
@@ -530,9 +529,9 @@ func TestMVReadCrossBatchIDDiscipline(t *testing.T) {
 	}
 	// The rejection leaves the engine usable: the high-water mark was
 	// not advanced by the rejected batch.
-	if res, err := eng.ExecuteBatch(batch(7)); err != nil {
+	if _, err := eng.ExecuteBatch(batch(7)); err != nil {
 		t.Fatalf("batch after rejection: %v", err)
-	} else if v, _ := res.Final.Get("x"); v.AsInt() != 6 {
+	} else if v, _, _ := eng.Store().Get("x"); v.AsInt() != 6 {
 		t.Fatalf("x = %v, want 6 (three batches of increments)", v)
 	}
 }

@@ -96,6 +96,13 @@ type ParallelConfig struct {
 // lifetime when a gate is attached, and globally ascending when the
 // gate reports a Compact watermark — ExecuteBatch enforces the
 // latter).
+//
+// The engine's state lives in its VersionedStore and is read in place:
+// ExecuteBatch returns a Result with a nil Final, so a batch costs
+// O(batch), not O(store). Read the state on demand through Store() —
+// Get for single items, Snapshot for a full state.DB copy, Acquire for
+// a pinned consistent view. The one-shot RunParallel/RunParallelCtx
+// materialize Final once, after their single batch.
 type ParallelEngine struct {
 	store      *VersionedStore
 	gate       BatchGate
@@ -199,15 +206,23 @@ type txnStamp struct {
 func (e *ParallelEngine) Store() *VersionedStore { return e.store }
 
 // RunParallel executes one batch of programs on a fresh engine — the
-// batch-mode counterpart of Run.
+// batch-mode counterpart of Run. Unlike ExecuteBatch it fills
+// Result.Final: building the engine already costs O(store), and the
+// engine does not outlive the call.
 func RunParallel(cfg ParallelConfig, programs map[int]*program.Program) (*Result, error) {
-	return NewParallelEngine(cfg).ExecuteBatch(programs)
+	return RunParallelCtx(context.Background(), cfg, programs)
 }
 
 // RunParallelCtx is RunParallel with cancellation — the batch-mode
-// counterpart of RunCtx.
+// counterpart of RunCtx. A cancelled run's partial Result carries the
+// Final state of its committed prefix.
 func RunParallelCtx(ctx context.Context, cfg ParallelConfig, programs map[int]*program.Program) (*Result, error) {
-	return NewParallelEngine(cfg).ExecuteBatchCtx(ctx, programs)
+	e := NewParallelEngine(cfg)
+	res, err := e.ExecuteBatchCtx(ctx, programs)
+	if res != nil {
+		res.Final = e.store.Snapshot()
+	}
+	return res, err
 }
 
 // attempt is one completed speculative execution of a program: the
@@ -247,13 +262,15 @@ func (bs *batchState) fail(err error) {
 
 // ExecuteBatch runs one batch of independent programs to completion
 // and returns the combined result: the schedule in ascending
-// transaction-id (= commit) order, the final store state, and metrics
-// (Ticks counts committed read-write operations as in Run;
-// Retries/Conflicts count the speculation cost; gate reporter
-// counters are harvested as in Run). On a program error or fatal gate
-// error the batch stops: the error is returned, transactions already
-// committed stay committed in the store and on the gate, and the rest
-// of the batch is discarded.
+// transaction-id (= commit) order and metrics (Ticks counts committed
+// read-write operations as in Run; Retries/Conflicts count the
+// speculation cost; gate reporter counters are harvested as in Run).
+// Result.Final is nil: the state after the batch is the engine's
+// store, read through Store() — copying it per batch would make every
+// batch O(store). On a program error or fatal gate error the batch
+// stops: the error is returned, transactions already committed stay
+// committed in the store and on the gate, and the rest of the batch is
+// discarded.
 //
 // Transactions declared read-only (ParallelConfig.ReadOnly) skip the
 // pipeline: each acquires a pinned snapshot — atomically with the
@@ -276,11 +293,12 @@ func (e *ParallelEngine) ExecuteBatch(programs map[int]*program.Program) (*Resul
 // never partially granted. Speculative attempts deposited but not yet
 // at the commit frontier are discarded (they touched neither the gate
 // nor the store), and the call returns the partial Result — the
-// committed prefix in id order, plus any completed declared readers —
-// alongside a typed ErrCanceled- or ErrDeadline-wrapped error. On a
-// watermark-anchored engine the batch's id window stays consumed: a
-// later batch must still use higher ids, exactly as if the cancelled
-// transactions had been aborted.
+// committed prefix in id order, plus any completed declared readers,
+// with a nil Final as on the normal path — alongside a typed
+// ErrCanceled- or ErrDeadline-wrapped error. On a watermark-anchored
+// engine the batch's id window stays consumed: a later batch must
+// still use higher ids, exactly as if the cancelled transactions had
+// been aborted.
 func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*program.Program) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -405,11 +423,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	harvestReporters(e.gate, &m)
 	// A cancelled batch still returns the committed prefix; CancelError
 	// is nil on the normal path.
-	return &Result{
-		Schedule: txn.NewSchedule(merged...),
-		Final:    e.store.Snapshot(),
-		Metrics:  m,
-	}, CancelError(ctx)
+	return &Result{Schedule: txn.NewSchedule(merged...), Metrics: m}, CancelError(ctx)
 }
 
 // executeRO serves one declared read-only transaction: pin a snapshot
@@ -519,6 +533,17 @@ func (e *ParallelEngine) advanceFloor(id int) {
 		return
 	}
 	e.wmQueue = append(e.wmQueue, txnStamp{txn: id, stamp: e.store.Stamp()})
+	e.syncFloor()
+}
+
+// syncFloor drains the watermark queue up to the gate's current
+// Compact watermark and raises the store's retention floor to the
+// stamp of the last drained commit. A no-op without a watermark hook
+// or with an empty queue.
+func (e *ParallelEngine) syncFloor() {
+	if e.wmr == nil || len(e.wmQueue) == 0 {
+		return
+	}
 	w := e.wmr.CompactWatermark()
 	var floor uint64
 	drop := 0
@@ -551,22 +576,7 @@ func (e *ParallelEngine) Drain(ctx context.Context) error {
 	if d, ok := e.gate.(Drainer); ok {
 		err = d.Drain(ctx)
 	}
-	if e.wmr != nil && len(e.wmQueue) > 0 {
-		w := e.wmr.CompactWatermark()
-		var floor uint64
-		drop := 0
-		for _, ts := range e.wmQueue {
-			if ts.txn > w {
-				break
-			}
-			floor = ts.stamp
-			drop++
-		}
-		if drop > 0 {
-			e.wmQueue = append(e.wmQueue[:0], e.wmQueue[drop:]...)
-			e.store.SetRetainFloor(floor)
-		}
-	}
+	e.syncFloor()
 	return err
 }
 

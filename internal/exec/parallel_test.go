@@ -192,7 +192,7 @@ func TestParallelEngineCommitInjection(t *testing.T) {
 	if res.Schedule.String() != want.Schedule.String() {
 		t.Fatalf("commit faults changed the schedule\ninjected: %s\nserial:   %s", res.Schedule, want.Schedule)
 	}
-	if !res.Final.Equal(want.Final) {
+	if !eng.Store().Snapshot().Equal(want.Final) {
 		t.Fatal("commit faults changed the final state")
 	}
 	sm := gate.ShardedMonitor()

@@ -110,11 +110,12 @@ func (s *VersionedStore) Get(item string) (state.Value, uint64, bool) {
 func (s *VersionedStore) GetAt(item string, stamp uint64) (state.Value, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.getAtLocked(item, stamp)
+	return valueAt(s.items[item], stamp)
 }
 
-func (s *VersionedStore) getAtLocked(item string, stamp uint64) (state.Value, bool) {
-	chain := s.items[item]
+// valueAt scans one version chain for the newest version whose stamp
+// is ≤ stamp.
+func valueAt(chain []versionedItem, stamp uint64) (state.Value, bool) {
 	for i := len(chain) - 1; i >= 0; i-- {
 		if chain[i].ver <= stamp {
 			return chain[i].val, true
@@ -143,8 +144,8 @@ func (s *VersionedStore) SnapshotAt(stamp uint64) state.DB {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	db := make(state.DB, len(s.items))
-	for k := range s.items {
-		if v, ok := s.getAtLocked(k, stamp); ok {
+	for k, chain := range s.items {
+		if v, ok := valueAt(chain, stamp); ok {
 			db[k] = v
 		}
 	}

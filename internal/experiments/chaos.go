@@ -466,9 +466,10 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	switch leg {
 	case "batch":
 		twinGate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
-		twinRes, terr := exec.NewParallelEngine(exec.ParallelConfig{
+		twinEng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: twinGate, Workers: 2,
-		}).ExecuteBatch(w.Programs)
+		})
+		twinRes, terr := twinEng.ExecuteBatch(w.Programs)
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
@@ -486,7 +487,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 			if res.Schedule.String() != twinRes.Schedule.String() {
 				return fail("batch schedule diverged from twin\ninjected: %s\ntwin:     %s", res.Schedule, twinRes.Schedule)
 			}
-			if !res.Final.Equal(twinRes.Final) {
+			if !eng.Store().Snapshot().Equal(twinEng.Store().Snapshot()) {
 				return fail("batch final state diverged from twin")
 			}
 		}
